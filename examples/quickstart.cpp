@@ -22,9 +22,9 @@ using sim::kSecond;
 
 namespace {
 
-// One std::visit over the Event variant replaces the four legacy
-// callbacks — exhaustive by construction, so a new event kind is a
-// compile error here, not a silently missed signal.
+// One std::visit over the Event variant handles every event kind —
+// exhaustive by construction, so a new event kind is a compile error
+// here, not a silently missed signal.
 void print_event(ProcessId p, const Event& ev) {
   struct Printer {
     ProcessId p;

@@ -11,9 +11,8 @@
 // Versioning: Event is a closed variant; adding an event kind is a new
 // alternative (call sites using std::visit with exhaustive overloads get
 // a compile error, std::get_if consumers ignore it silently — both are
-// deliberate migration modes). The legacy per-field EndpointHooks keep
-// working through emit_to_legacy_hooks; new code should install a single
-// EndpointHooks::on_event sink instead.
+// deliberate migration modes). The engine emits through the single
+// EndpointHooks::on_event sink.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +25,6 @@
 #include "util/codec.h"
 
 namespace newtop {
-
-struct EndpointHooks;  // engine host contract (core/endpoint.h)
 
 // A message handed to the application. With the default
 // DeliveryMode::kZeroCopySlice, `payload` is an owned slice of the
@@ -189,22 +186,17 @@ using Event = std::variant<DeliveryEvent, ViewChangeEvent, FormationEvent,
 // the endpoint's application API.
 using EventSink = std::function<void(const Event&)>;
 
-// Adapter keeping the legacy per-field hooks working: routes an Event to
-// the matching EndpointHooks field (deliver / view_change /
-// formation_result) when that field is set. Event kinds with no legacy
-// field (send window, retention pressure) are dropped.
-void emit_to_legacy_hooks(const EndpointHooks& hooks, const Event& ev);
-
 // ---------------------------------------------------------------------
 // Group handles
 // ---------------------------------------------------------------------
 
 // What a host must provide to back GroupHandles. One GroupHost per
-// (host, process) pair: SimProcess, a ThreadedRuntime worker and UdpNode
-// each implement it, so the facade below behaves identically everywhere.
-// Hosts that own the endpoint on another thread marshal these calls onto
-// the owner and block for the result — do not call them from inside an
-// event sink running on that same owner thread.
+// (host, process) pair: a HostCore implements it with direct calls (the
+// simulator's SimProcess is one), and MailboxGroupHost (ThreadedRuntime
+// workers, UdpNode) marshals the core's calls onto its owner thread and
+// blocks for the result — do not call them from inside an event sink
+// running on that same owner thread. The facade below therefore behaves
+// identically everywhere.
 // How a process joins a long-lived group (GroupHandle::join,
 // Endpoint::join_group). `contacts` are incumbents to ask, tried in
 // order on retry (Config::join_retry); `options` supplies the *local*

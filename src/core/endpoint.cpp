@@ -27,8 +27,7 @@ std::vector<ProcessId> sorted_unique(std::vector<ProcessId> v) {
 Endpoint::Endpoint(ProcessId self, Config config, EndpointHooks hooks)
     : self_(self), cfg_(config), hooks_(std::move(hooks)) {
   NEWTOP_CHECK(hooks_.send != nullptr);
-  NEWTOP_CHECK_MSG(hooks_.on_event != nullptr || hooks_.deliver != nullptr,
-                   "need an event sink or a legacy deliver hook");
+  NEWTOP_CHECK_MSG(hooks_.on_event != nullptr, "need an event sink");
   NEWTOP_CHECK_MSG(cfg_.omega_big > cfg_.omega, "need Omega > omega (§5.2)");
 }
 
@@ -922,10 +921,7 @@ void Endpoint::deliver_app(const GroupState& gs, const OrderedMsg& msg) {
 // Unified event stream
 // ---------------------------------------------------------------------
 
-void Endpoint::emit_event(const Event& ev) {
-  if (hooks_.on_event) hooks_.on_event(ev);
-  emit_to_legacy_hooks(hooks_, ev);
-}
+void Endpoint::emit_event(const Event& ev) { hooks_.on_event(ev); }
 
 void Endpoint::check_retention_pressure(GroupState& gs) {
   if (cfg_.retention_pressure_bytes == 0) return;

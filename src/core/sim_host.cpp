@@ -15,112 +15,36 @@ std::string to_string(std::span<const std::uint8_t> b) {
 SimProcess::SimProcess(sim::Simulator& simulator, sim::Network& network,
                        ProcessId id, const HostConfig& config,
                        util::BufferPoolPtr pool)
-    : sim_(simulator), net_(network), id_(id),
+    : HostCore(id, config.endpoint, config.channel, config.tick_interval,
+               std::move(pool),
+               Io{[this](transport::PeerId to, util::Bytes data) {
+                    send_datagram(to, std::move(data));
+                  },
+                  [this] { return sim_.now(); }, [this] { schedule_flush(); },
+                  [this](const Event& ev) {
+                    if (app_sink_) app_sink_(ev);
+                  }}),
+      sim_(simulator),
+      net_(network),
       tick_interval_(config.tick_interval) {
-  node_ = net_.add_node([this](sim::NodeId from, util::SharedBytes data) {
-    on_datagram(from, std::move(data));
-  });
-  NEWTOP_CHECK_MSG(node_ == id_, "process ids must be dense from 0");
-
-  transport::ChannelConfig channel = config.channel;
-  channel.pool = pool;
-  router_ = std::make_unique<transport::Router>(
-      id_, channel,
-      /*send=*/
-      [this](transport::PeerId to, util::Bytes data) {
-        if (crashed_) return;
-        if (sends_until_crash_) {
-          if (*sends_until_crash_ == 0) {
-            crash();
-            return;
-          }
-          --*sends_until_crash_;
-        }
-        net_.send(node_, to, std::move(data));
-        if (sends_until_crash_ && *sends_until_crash_ == 0) crash();
-      },
-      /*deliver=*/
-      [this](transport::PeerId from, util::BytesView payload) {
-        if (crashed_) return;
-        endpoint_->on_message(from, std::move(payload), sim_.now());
+  const sim::NodeId node =
+      net_.add_node([this](sim::NodeId from, util::SharedBytes data) {
+        on_datagram(from, util::BytesView(std::move(data)), sim_.now());
       });
-
-  EndpointHooks hooks;
-  hooks.send = [this](ProcessId to, util::SharedBytes data) {
-    if (crashed_) return;
-    router_->send_buffered(to, std::move(data), sim_.now());
-    schedule_flush();
-  };
-  hooks.send_relay = [this](ProcessId to, util::BytesView data) {
-    if (crashed_) return;
-    // Zero-copy relay forward: the received slice goes straight into the
-    // channel, keeping its arrival datagram's allocation alive.
-    router_->send_relayed(to, std::move(data), sim_.now());
-    schedule_flush();
-  };
-  hooks.on_event = [this](const Event& ev) { on_event(ev); };
-  hooks.buffer_pool = std::move(pool);
-  endpoint_ = std::make_unique<Endpoint>(id_, config.endpoint,
-                                         std::move(hooks));
+  NEWTOP_CHECK_MSG(node == id, "process ids must be dense from 0");
   schedule_tick();
 }
 
-void SimProcess::on_event(const Event& ev) {
-  // Record into the typed observation logs, then hand the event to the
-  // application's sink (if any).
-  if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-    deliveries.push_back(DeliveryRecord{sim_.now(), d->delivery});
-  } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-    views.push_back(ViewRecord{sim_.now(), v->group, v->view});
-  } else if (const auto* f = std::get_if<FormationEvent>(&ev)) {
-    formations.push_back(FormationRecord{sim_.now(), f->group, f->outcome});
-  } else if (const auto* s = std::get_if<SendWindowEvent>(&ev)) {
-    send_windows.push_back(SendWindowRecord{sim_.now(), *s});
-  } else if (const auto* r = std::get_if<RetentionPressureEvent>(&ev)) {
-    retention_pressure.push_back(RetentionPressureRecord{sim_.now(), *r});
-  } else if (const auto* st = std::get_if<StateTransferEvent>(&ev)) {
-    state_transfers.push_back(StateTransferRecord{sim_.now(), *st});
-  } else if (const auto* mj = std::get_if<MemberJoinedEvent>(&ev)) {
-    member_joins.push_back(MemberJoinedRecord{sim_.now(), *mj});
+void SimProcess::send_datagram(transport::PeerId to, util::Bytes data) {
+  if (sends_until_crash_) {
+    if (*sends_until_crash_ == 0) {
+      crash();
+      return;
+    }
+    --*sends_until_crash_;
   }
-  if (app_sink_) app_sink_(ev);
-}
-
-SendResult SimProcess::group_multicast(GroupId g, util::Bytes payload) {
-  if (crashed_) return SendResult::kNotMember;
-  return endpoint_->multicast(g, std::move(payload), sim_.now());
-}
-
-void SimProcess::group_leave(GroupId g) {
-  if (!crashed_) endpoint_->leave_group(g, sim_.now());
-}
-
-std::optional<View> SimProcess::group_view(GroupId g) {
-  // Crashed processes degrade to the rejecting defaults, exactly like a
-  // stopped ThreadedRuntime worker or UdpNode (the api.h contract).
-  if (crashed_) return std::nullopt;
-  const View* v = endpoint_->view(g);
-  return v != nullptr ? std::optional<View>(*v) : std::nullopt;
-}
-
-RetentionStats SimProcess::group_retention_stats(GroupId g) {
-  if (crashed_) return RetentionStats{};
-  return endpoint_->retention_stats(g);
-}
-
-bool SimProcess::group_join(GroupId g, JoinOptions opts) {
-  if (crashed_) return false;
-  return endpoint_->join_group(g, std::move(opts), sim_.now());
-}
-
-void SimProcess::on_datagram(sim::NodeId from, util::SharedBytes data) {
-  if (crashed_) return;
-  router_->on_datagram(from, util::BytesView(std::move(data)), sim_.now());
-  // Flush anything the endpoint emitted in response — those data packets
-  // piggyback (suppress) the ack this datagram deferred. A standalone
-  // ack for a quiet receiver waits out ChannelConfig::ack_delay and goes
-  // with the next router tick instead.
-  schedule_flush();
+  net_.send(id(), to, std::move(data));
+  if (sends_until_crash_ && *sends_until_crash_ == 0) crash();
 }
 
 void SimProcess::schedule_flush() {
@@ -131,24 +55,22 @@ void SimProcess::schedule_flush() {
   // batching without adding latency.
   sim_.schedule_after(0, [this] {
     flush_pending_ = false;
-    if (crashed_) return;
-    router_->flush_batches(sim_.now());
+    flush(sim_.now());
   });
 }
 
 void SimProcess::schedule_tick() {
   sim_.schedule_after(tick_interval_, [this] {
-    if (crashed_) return;
-    router_->tick(sim_.now());
-    endpoint_->on_tick(sim_.now());
+    if (crashed()) return;
+    tick(sim_.now());
     schedule_tick();
   });
 }
 
 void SimProcess::crash() {
-  if (crashed_) return;
-  crashed_ = true;
-  net_.set_node_down(node_, true);
+  if (crashed()) return;
+  halt();
+  net_.set_node_down(id(), true);
 }
 
 std::vector<std::string> SimProcess::delivered_strings(GroupId g) const {

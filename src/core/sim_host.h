@@ -17,6 +17,7 @@
 
 #include "core/config.h"
 #include "core/endpoint.h"
+#include "runtime/host_core.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "transport/router.h"
@@ -30,62 +31,31 @@ struct HostConfig {
   sim::Duration tick_interval = 5 * sim::kMillisecond;
 };
 
-struct DeliveryRecord {
-  sim::Time at = 0;
-  Delivery delivery;
-};
+using runtime::DeliveryRecord;
+using runtime::FormationRecord;
+using runtime::MemberJoinedRecord;
+using runtime::RetentionPressureRecord;
+using runtime::SendWindowRecord;
+using runtime::StateTransferRecord;
+using runtime::ViewRecord;
 
-struct ViewRecord {
-  sim::Time at = 0;
-  GroupId group = 0;
-  View view;
-};
-
-struct FormationRecord {
-  sim::Time at = 0;
-  GroupId group = 0;
-  FormationOutcome outcome = FormationOutcome::kFormed;
-};
-
-struct SendWindowRecord {
-  sim::Time at = 0;
-  SendWindowEvent event;
-};
-
-struct RetentionPressureRecord {
-  sim::Time at = 0;
-  RetentionPressureEvent event;
-};
-
-struct StateTransferRecord {
-  sim::Time at = 0;
-  StateTransferEvent event;
-};
-
-struct MemberJoinedRecord {
-  sim::Time at = 0;
-  MemberJoinedEvent event;
-};
-
-// One simulated node: Endpoint + Router bound to a Network node, driven
-// by a periodic tick event. All processes of a world share one
-// BufferPool (the world's), which also backs the Network's datagram
-// buffers: tx encodes and rx datagrams recycle through the same
-// freelists.
+// One simulated node: a HostCore (Endpoint + Router) bound to a Network
+// node. Its event schedule: a zero-delay flush event whenever the core
+// has output pending, and a core tick every tick_interval. All
+// processes of a world share one BufferPool (the world's), which also
+// backs the Network's datagram buffers: tx encodes and rx datagrams
+// recycle through the same freelists.
 //
-// The process consumes the engine's unified event stream (core/api.h):
-// every Event is recorded into the typed observation logs below and then
-// forwarded to the application's sink (set_event_sink), and the process
-// is the GroupHost behind SimWorld::group handles.
-class SimProcess : public GroupHost {
+// The core records every engine event (core/api.h) into the typed
+// observation logs below before it reaches the application's sink
+// (set_event_sink), and it is the GroupHost behind SimWorld::group
+// handles: direct calls into the endpoint at the current sim time. A
+// crashed process degrades to the rejecting defaults, exactly like a
+// stopped ThreadedRuntime worker or UdpNode (the api.h contract).
+class SimProcess : public runtime::HostCore {
  public:
   SimProcess(sim::Simulator& simulator, sim::Network& network, ProcessId id,
              const HostConfig& config, util::BufferPoolPtr pool);
-
-  ProcessId id() const { return id_; }
-  Endpoint& endpoint() { return *endpoint_; }
-  const Endpoint& endpoint() const { return *endpoint_; }
-  transport::Router& router() { return *router_; }
 
   // Application event sink: receives every engine event after the
   // observation logs have recorded it. Replaces a previous sink.
@@ -94,18 +64,11 @@ class SimProcess : public GroupHost {
   // Facade over one group membership (also via SimWorld::group).
   GroupHandle group(GroupId g) { return GroupHandle(this, g); }
 
-  // GroupHost: direct calls into the endpoint at the current sim time.
-  SendResult group_multicast(GroupId g, util::Bytes payload) override;
-  void group_leave(GroupId g) override;
-  std::optional<View> group_view(GroupId g) override;
-  RetentionStats group_retention_stats(GroupId g) override;
-  bool group_join(GroupId g, JoinOptions opts) override;
-
   // Halts the process: no more ticks, sends or receives. In-flight
   // datagrams it already emitted still arrive (a crash does not recall
   // packets from the wire).
   void crash();
-  bool crashed() const { return crashed_; }
+  bool crashed() const { return halted(); }
 
   // Crash after the next `n` datagram transmissions — the paper's "a
   // multicast made by a process can be interrupted due to the crash of
@@ -117,39 +80,33 @@ class SimProcess : public GroupHost {
   // BatchFrame and are lost or delivered together.
   void crash_after_sends(std::uint64_t n) { sends_until_crash_ = n; }
 
-  // Observation logs.
-  std::vector<DeliveryRecord> deliveries;
-  std::vector<ViewRecord> views;
-  std::vector<FormationRecord> formations;
-  std::vector<SendWindowRecord> send_windows;
-  std::vector<RetentionPressureRecord> retention_pressure;
-  std::vector<StateTransferRecord> state_transfers;
-  std::vector<MemberJoinedRecord> member_joins;
+  // Observation logs: the core's EventLog.
+  std::vector<DeliveryRecord>& deliveries = log().deliveries;
+  std::vector<ViewRecord>& views = log().views;
+  std::vector<FormationRecord>& formations = log().formations;
+  std::vector<SendWindowRecord>& send_windows = log().send_windows;
+  std::vector<RetentionPressureRecord>& retention_pressure =
+      log().retention_pressure;
+  std::vector<StateTransferRecord>& state_transfers = log().state_transfers;
+  std::vector<MemberJoinedRecord>& member_joins = log().member_joins;
 
   // Delivered payload sequence for one group (convenience for oracles).
   std::vector<std::string> delivered_strings(GroupId g) const;
 
  private:
-  void on_datagram(sim::NodeId from, util::SharedBytes data);
-  void on_event(const Event& ev);
+  void send_datagram(transport::PeerId to, util::Bytes data);
   void schedule_tick();
-  // Flush-on-idle: endpoint sends are buffered in the router and flushed
-  // by a zero-delay event once the current input has been fully processed,
-  // so everything a process emits in one causal step to the same peer
-  // rides one BatchFrame datagram.
+  // Flush-on-idle: the flush runs as a zero-delay event once the current
+  // input has been fully processed, so everything a process emits in one
+  // causal step to the same peer rides one BatchFrame datagram.
   void schedule_flush();
 
   sim::Simulator& sim_;
   sim::Network& net_;
-  ProcessId id_;
-  sim::NodeId node_;
   sim::Duration tick_interval_;
-  bool crashed_ = false;
   bool flush_pending_ = false;
   std::optional<std::uint64_t> sends_until_crash_;
   EventSink app_sink_;
-  std::unique_ptr<transport::Router> router_;
-  std::unique_ptr<Endpoint> endpoint_;
 };
 
 struct WorldConfig {

@@ -62,7 +62,7 @@ enum class DeliveryMode : std::uint8_t {
 // carried in formation invites.
 enum class DisseminationStrategy : std::uint8_t {
   kFullMesh = 0,  // §4's direct per-member sends (the default)
-  kRing = 1,      // cyclic successor forwarding, O(1) sends per hop
+  kRing = 1,      // cyclic successor forwarding = kTree with arity 1
   kTree = 2,      // origin-rooted k-ary tree, O(arity) sends per hop
 };
 

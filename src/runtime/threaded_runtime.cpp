@@ -1,267 +1,92 @@
 #include "runtime/threaded_runtime.h"
 
-#include <algorithm>
 #include <chrono>
-#include <functional>
-#include <map>
-#include <vector>
+#include <condition_variable>
+#include <thread>
 
-#include "core/group_host_mailbox.h"
-#include "util/check.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace newtop::runtime {
 
-namespace {
-
-sim::Time steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-// One endpoint + its owner thread. The mailbox carries both peer messages
-// and application commands; the owner drains it, then ticks the endpoint.
+// One HostCore + its owner thread. The core's datagrams are queued as
+// commands on the peer worker's mailbox, in FIFO order with that
+// worker's application commands; the owner runs them, ticks and flushes.
 class ThreadedRuntime::Worker : public MailboxGroupHost {
  public:
   Worker(ProcessId id, const RuntimeConfig& cfg, ThreadedRuntime& rt,
-         util::BufferPoolPtr pool)
-      : id_(id), cfg_(cfg), rt_(rt), pool_(std::move(pool)) {
-    EndpointHooks hooks;
-    hooks.send = [this](ProcessId to, util::SharedBytes data) {
-      // Buffered: flushed (batched per destination) once the owner thread
-      // finishes its current mailbox quantum. Only the owner runs the
-      // endpoint, so outbox_ needs no lock.
-      outbox_[to].push_back(util::BytesView(std::move(data)));
-    };
-    hooks.send_relay = [this](ProcessId to, util::BytesView data) {
-      // Relay forward: the received slice rides the outbox as-is (the
-      // view keeps the arrival buffer alive across the thread hop).
-      outbox_[to].push_back(std::move(data));
-    };
-    hooks.on_event = [this](const Event& ev) {
-      {
-        util::MutexLock lock(log_mutex_);
-        if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-          deliveries_.push_back(d->delivery);
-        } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-          views_.emplace_back(v->group, v->view);
-        }
-      }
-      // User sink outside the log lock: it may take snapshots.
-      if (cfg_.on_event) cfg_.on_event(id_, ev);
-    };
-    hooks.buffer_pool = pool_;
-    endpoint_ = std::make_unique<Endpoint>(id, cfg_.endpoint,
-                                           std::move(hooks));
-  }
+         const util::BufferPoolPtr& pool)
+      : MailboxGroupHost(
+            id, cfg.endpoint, transport::ChannelConfig{}, cfg.tick_interval,
+            pool,
+            [this, &rt, pool](transport::PeerId to, util::Bytes data) {
+              // Pooled: the receiving worker's last slice release returns
+              // the buffer for the next send.
+              rt.worker(to).enqueue_host_command(
+                  [from = this->id(),
+                   view = util::BytesView(pool->share(std::move(data)))](
+                      HostCore& c, sim::Time now) mutable {
+                    c.on_datagram(from, std::move(view), now);
+                  });
+            },
+            [id, sink = cfg.on_event](const Event& ev) {
+              if (sink) sink(id, ev);
+            }) {}
 
   void start() EXCLUDES(join_mutex_) {
     util::MutexLock join_lock(join_mutex_);
     thread_ = std::thread([this] { run(); });
   }
 
-  void stop() EXCLUDES(mutex_, join_mutex_) {
-    {
-      util::MutexLock lock(mutex_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
+  void stop() EXCLUDES(mailbox_mutex_, join_mutex_) {
+    close_mailbox();
     // join_mutex_ serializes concurrent stop() calls (shutdown() racing
     // the destructor from another thread): exactly one caller joins,
-    // the rest see joinable() == false. The join cannot hold mutex_ —
-    // run() acquires it.
-    {
-      util::MutexLock join_lock(join_mutex_);
-      if (thread_.joinable()) thread_.join();
-    }
-    // Drop commands that never ran: destroying them breaks their
-    // promises / fires their completion guards, so a GroupHandle blocked
-    // on one unblocks (kNotMember) instead of waiting for the runtime's
-    // destruction. Destroyed outside the mailbox lock — a completion
-    // callback may re-enter this worker.
-    std::deque<Item> dropped;
-    {
-      util::MutexLock lock(mutex_);
-      dropped.swap(inbox_);
-    }
+    // the rest see joinable() == false. The join cannot hold
+    // mailbox_mutex_ — run() acquires it.
+    util::MutexLock join_lock(join_mutex_);
+    if (thread_.joinable()) thread_.join();
   }
 
-  void crash() EXCLUDES(mutex_) {
-    std::deque<Item> dropped;
-    {
-      util::MutexLock lock(mutex_);
-      stopping_ = true;
-      crashed_ = true;
-      dropped.swap(inbox_);
-    }
-    cv_.notify_all();
-    // `dropped` destroyed here, outside the lock (see stop()).
-  }
+  // Stops the worker without joining it or draining its mailbox.
+  void crash() EXCLUDES(mailbox_mutex_) { close_mailbox(); }
 
-  void enqueue_message(ProcessId from, util::BytesView data)
-      EXCLUDES(mutex_) {
-    {
-      util::MutexLock lock(mutex_);
-      if (stopping_) return;
-      inbox_.push_back(Item{Item::kMessage, from, std::move(data), {}});
-    }
-    cv_.notify_all();
-  }
-
-  // False when the worker is stopping and the command was dropped.
-  bool enqueue_command(std::function<void(Endpoint&, sim::Time)> fn)
-      EXCLUDES(mutex_) {
-    {
-      util::MutexLock lock(mutex_);
-      if (stopping_) return false;
-      inbox_.push_back(Item{Item::kCommand, 0, {}, std::move(fn)});
-    }
-    cv_.notify_all();
-    return true;
-  }
-
-  SendCounts send_counts() const EXCLUDES(log_mutex_) {
-    util::MutexLock lock(log_mutex_);
-    return send_counts_;
-  }
-
-  std::vector<Delivery> deliveries() const EXCLUDES(log_mutex_) {
-    util::MutexLock lock(log_mutex_);
-    return deliveries_;
-  }
-
-  std::vector<std::pair<GroupId, View>> views() const
-      EXCLUDES(log_mutex_) {
-    util::MutexLock lock(log_mutex_);
-    return views_;
-  }
-
-  std::size_t delivery_count(GroupId g) const EXCLUDES(log_mutex_) {
-    util::MutexLock lock(log_mutex_);
-    std::size_t n = 0;
-    for (const auto& d : deliveries_) {
-      if (d.group == g) ++n;
-    }
-    return n;
-  }
-
-  bool crashed() const EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return crashed_;
-  }
+  // Crashed or stopped: it delivers nothing more.
+  bool stopped() const { return mailbox_closed(); }
 
  private:
-  struct Item {
-    enum Kind { kMessage, kCommand } kind;
-    ProcessId from;
-    util::BytesView data;  // view keeps its backing buffer alive
-    std::function<void(Endpoint&, sim::Time)> fn;
-  };
+  void wake_owner() override { cv_.notify_all(); }
 
-  // ---- MailboxGroupHost (blocking facade; ThreadedRuntime::group) -----
-  bool enqueue_host_command(HostCommand fn) override {
-    return enqueue_command(std::move(fn));
-  }
-  void record_host_send(SendResult r) override EXCLUDES(log_mutex_) {
-    util::MutexLock lock(log_mutex_);
-    send_counts_.note(r);
-  }
-
-  void run() EXCLUDES(mutex_) {
-    const auto tick = std::chrono::microseconds(cfg_.tick_interval);
-    auto next_tick = std::chrono::steady_clock::now() + tick;
+  void run() EXCLUDES(mailbox_mutex_) {
     while (true) {
-      std::deque<Item> batch;
       {
-        util::MutexLock lock(mutex_);
+        const std::chrono::steady_clock::time_point deadline(
+            std::chrono::microseconds(core_.next_deadline(steady_now_us())));
+        util::MutexLock lock(mailbox_mutex_);
         // Explicit wait loop rather than the predicate overload: the
         // analysis sees the guarded reads under the held lock.
-        while (!stopping_ && inbox_.empty()) {
-          if (cv_.wait_until(lock.native(), next_tick) ==
+        while (!closed_ && commands_.empty()) {
+          if (cv_.wait_until(lock.native(), deadline) ==
               std::cv_status::timeout) {
             break;
           }
         }
-        if (stopping_) return;
-        batch.swap(inbox_);
+        if (closed_) return;
       }
       const sim::Time now = steady_now_us();
-      for (auto& item : batch) {
-        if (item.kind == Item::kMessage) {
-          // Zero-copy hand-off: the endpoint receives a view of the
-          // mailbox item's shared buffer, not a copy of it.
-          endpoint_->on_message(item.from, std::move(item.data), now);
-        } else {
-          item.fn(*endpoint_, now);
-        }
-      }
-      if (std::chrono::steady_clock::now() >= next_tick) {
-        endpoint_->on_tick(steady_now_us());
-        next_tick = std::chrono::steady_clock::now() + tick;
-      }
-      flush_outbox();
+      run_commands(now);
+      core_.tick(now);
+      core_.flush(now);
     }
   }
 
-  // Flush-on-idle: everything the endpoint emitted while this quantum's
-  // inputs were processed goes out now, coalesced per destination into
-  // BatchFrame mailbox items (bounded so a burst cannot exceed the
-  // receiver's decode cap).
-  void flush_outbox() {
-    constexpr std::size_t kMaxPerFrame = 64;
-    for (auto& [to, msgs] : outbox_) {
-      if (msgs.empty()) continue;
-      std::size_t i = 0;
-      while (i < msgs.size()) {
-        const std::size_t n = std::min(kMaxPerFrame, msgs.size() - i);
-        if (n == 1) {
-          rt_.worker(to).enqueue_message(id_, std::move(msgs[i]));
-        } else {
-          const std::vector<util::BytesView> chunk(
-              msgs.begin() + static_cast<std::ptrdiff_t>(i),
-              msgs.begin() + static_cast<std::ptrdiff_t>(i + n));
-          // Pooled frame: the receiving worker's last slice release
-          // returns the buffer for this worker's next flush.
-          rt_.worker(to).enqueue_message(
-              id_, pool_->share(BatchFrame::encode_shared(
-                       chunk, pool_->acquire(
-                                  BatchFrame::encoded_size_bound(chunk)))));
-        }
-        i += n;
-      }
-      msgs.clear();
-    }
-  }
-
-  ProcessId id_;
-  RuntimeConfig cfg_;
-  ThreadedRuntime& rt_;
-  util::BufferPoolPtr pool_;
-  std::unique_ptr<Endpoint> endpoint_;
   // Assigned by start(), joined by stop(); its own capability so that
   // concurrent stop() calls cannot race on the join (run() never takes
   // join_mutex_, so the joiner holding it cannot deadlock the worker).
   mutable util::Mutex join_mutex_;
   std::thread thread_ GUARDED_BY(join_mutex_);
-  // Owner-thread-only: per-destination sends buffered within a quantum.
-  // Views: originated sends view their whole encoding, relay forwards
-  // view slices of their arrival buffer (either way zero-copy).
-  std::map<ProcessId, std::vector<util::BytesView>> outbox_;
 
-  mutable util::Mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Item> inbox_ GUARDED_BY(mutex_);
-  bool stopping_ GUARDED_BY(mutex_) = false;
-  bool crashed_ GUARDED_BY(mutex_) = false;
-
-  mutable util::Mutex log_mutex_;
-  std::vector<Delivery> deliveries_ GUARDED_BY(log_mutex_);
-  std::vector<std::pair<GroupId, View>> views_ GUARDED_BY(log_mutex_);
-  SendCounts send_counts_ GUARDED_BY(log_mutex_);
+  std::condition_variable cv_;  // waits on mailbox_mutex_
 };
 
 ThreadedRuntime::ThreadedRuntime(std::size_t processes, RuntimeConfig config)
@@ -272,7 +97,8 @@ ThreadedRuntime::ThreadedRuntime(std::size_t processes, RuntimeConfig config)
     workers_.push_back(std::make_unique<Worker>(
         static_cast<ProcessId>(i), cfg_, *this, pool_));
   }
-  // Start only after all workers exist: hooks.send resolves peers eagerly.
+  // Start only after all workers exist: a worker's datagrams resolve
+  // their destination worker eagerly.
   for (auto& w : workers_) w->start();
 }
 
@@ -282,59 +108,11 @@ void ThreadedRuntime::shutdown() {
   for (auto& w : workers_) w->stop();
 }
 
-void ThreadedRuntime::create_group(ProcessId p, GroupId g,
-                                   std::vector<ProcessId> members,
-                                   GroupOptions options) {
-  worker(p).enqueue_command(
-      [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
-        e.create_group(g, members, options, now);
-      });
-}
-
-void ThreadedRuntime::initiate_group(ProcessId p, GroupId g,
-                                     std::vector<ProcessId> members,
-                                     GroupOptions options) {
-  worker(p).enqueue_command(
-      [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
-        e.initiate_group(g, members, options, now);
-      });
-}
-
-void ThreadedRuntime::multicast(ProcessId p, GroupId g, util::Bytes payload,
-                                std::function<void(SendResult)> done) {
-  worker(p).async_multicast(g, std::move(payload), std::move(done));
-}
-
-GroupHandle ThreadedRuntime::group(ProcessId p, GroupId g) {
-  return GroupHandle(&worker(p), g);
-}
-
-SendCounts ThreadedRuntime::send_counts(ProcessId p) const {
-  return worker(p).send_counts();
-}
-
-void ThreadedRuntime::leave_group(ProcessId p, GroupId g) {
-  worker(p).enqueue_command(
-      [g](Endpoint& e, sim::Time now) { e.leave_group(g, now); });
-}
-
-void ThreadedRuntime::join_group(ProcessId p, GroupId g, JoinOptions opts) {
-  worker(p).enqueue_command(
-      [g, opts = std::move(opts)](Endpoint& e, sim::Time now) mutable {
-        e.join_group(g, std::move(opts), now);
-      });
+MailboxGroupHost& ThreadedRuntime::host(ProcessId p) const {
+  return worker(p);
 }
 
 void ThreadedRuntime::crash(ProcessId p) { worker(p).crash(); }
-
-std::vector<Delivery> ThreadedRuntime::deliveries(ProcessId p) const {
-  return worker(p).deliveries();
-}
-
-std::vector<std::pair<GroupId, View>> ThreadedRuntime::views(
-    ProcessId p) const {
-  return worker(p).views();
-}
 
 bool ThreadedRuntime::wait_for_deliveries(GroupId g, std::size_t n,
                                           std::chrono::milliseconds timeout) {
@@ -342,7 +120,7 @@ bool ThreadedRuntime::wait_for_deliveries(GroupId g, std::size_t n,
   while (std::chrono::steady_clock::now() < deadline) {
     bool all = true;
     for (const auto& w : workers_) {
-      if (!w->crashed() && w->delivery_count(g) < n) {
+      if (!w->stopped() && w->delivery_count(g) < n) {
         all = false;
         break;
       }

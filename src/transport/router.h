@@ -69,17 +69,7 @@ class Router {
   // slot) carries many protocol messages. FIFO order per peer is
   // preserved: pending payloads flush in arrival order, ahead of nothing.
   void send_buffered(PeerId to, util::SharedBytes payload, Time now) {
-    if (to == self_) {
-      deliver_(self_, util::BytesView(std::move(payload)));
-      return;
-    }
-    auto& peer = peers(to);
-    if (config_.max_batch <= 1) {
-      channel_send(to, peer, std::move(payload), now);
-      return;
-    }
-    peer.pending.push_back(util::BytesView(std::move(payload)));
-    if (peer.pending.size() >= config_.max_batch) flush_peer(to, peer, now);
+    buffer(to, util::BytesView(std::move(payload)), now);
   }
 
   // Relay re-send path (ring/tree dissemination): transmits a received
@@ -90,19 +80,12 @@ class Router {
   // (ChannelStats::relayed_payloads/relayed_bytes) so datagram and
   // syscall gates can attribute overlay load.
   void send_relayed(PeerId to, util::BytesView payload, Time now) {
-    if (to == self_) {
-      deliver_(self_, std::move(payload));
-      return;
+    if (to != self_) {
+      ChannelStats& stats = peers(to).stats;
+      stats.relayed_payloads += 1;
+      stats.relayed_bytes += payload.size();
     }
-    auto& peer = peers(to);
-    peer.stats.relayed_payloads += 1;
-    peer.stats.relayed_bytes += payload.size();
-    if (config_.max_batch <= 1) {
-      channel_send(to, peer, std::move(payload), now);
-      return;
-    }
-    peer.pending.push_back(std::move(payload));
-    if (peer.pending.size() >= config_.max_batch) flush_peer(to, peer, now);
+    buffer(to, std::move(payload), now);
   }
 
   // Flushes every peer's pending payloads (see send_buffered) and any
@@ -234,19 +217,6 @@ class Router {
     return total;
   }
 
-  // Per-peer channel stats (nullptr when no channel state exists yet).
-  const ChannelStats* peer_stats(PeerId id) const {
-    const auto it = peers_.find(id);
-    return it == peers_.end() ? nullptr : &it->second.stats;
-  }
-
-  // The RTT estimator of the channel towards `id` (nullptr as above);
-  // tests and telemetry read srtt/rttvar/rto through it.
-  const RttEstimator* peer_rtt(PeerId id) const {
-    const auto it = peers_.find(id);
-    return it == peers_.end() ? nullptr : &it->second.sender.rtt();
-  }
-
  private:
   struct Peer {
     explicit Peer(const ChannelConfig& config)
@@ -283,6 +253,22 @@ class Router {
     // std::clamp an inverted range (the floor wins).
     return std::clamp(peer.sender.rtt().srtt() / 4, config_.ack_delay_min,
                       std::max(config_.ack_delay_max, config_.ack_delay_min));
+  }
+
+  // The one batching path (send_buffered, send_relayed): queues the
+  // payload for the next flush of its peer.
+  void buffer(PeerId to, util::BytesView payload, Time now) {
+    if (to == self_) {
+      deliver_(self_, std::move(payload));
+      return;
+    }
+    auto& peer = peers(to);
+    if (config_.max_batch <= 1) {
+      channel_send(to, peer, std::move(payload), now);
+      return;
+    }
+    peer.pending.push_back(std::move(payload));
+    if (peer.pending.size() >= config_.max_batch) flush_peer(to, peer, now);
   }
 
   void channel_send(PeerId to, Peer& peer, util::BytesView payload,

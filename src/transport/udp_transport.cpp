@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <limits>
 
@@ -36,12 +35,6 @@ sockaddr_in loopback(std::uint16_t port) {
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   return addr;
-}
-
-sim::Time steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void put_le32(std::uint8_t* p, std::uint32_t v) {
@@ -273,10 +266,14 @@ void UdpTransport::detach(UdpNode* node) {
   // The loop may be mid-iteration with the node still in its snapshot;
   // wait it out so the node cannot be touched after detach returns.
   // (Consequently a node must not be stopped from the loop thread
-  // itself — i.e. from inside an event sink or command.) Explicit loop
-  // rather than the predicate overload: the analysis sees the guarded
-  // read of in_dispatch_ under the held lock.
-  while (in_dispatch_) detach_cv_.wait(lock.native());
+  // itself — i.e. from inside an event sink or command.) Any later
+  // iteration snapshots nodes_ without the node. Explicit loop rather
+  // than the predicate overload: the analysis sees the guarded reads
+  // under the held lock.
+  const std::uint64_t epoch = dispatch_epoch_;
+  while (in_dispatch_ && dispatch_epoch_ == epoch) {
+    detach_cv_.wait(lock.native());
+  }
 }
 
 void UdpTransport::queue_send(ProcessId from, ProcessId to,
@@ -536,9 +533,10 @@ void UdpTransport::loop() {
       }
       it->second->on_rx(item.src, std::move(item.payload), now);
     }
-    // Application commands + protocol ticks, then the transmit flush:
-    // batched payloads and deferred acks coalesce, retransmissions due
-    // by now fire, and everything leaves in sendmmsg bursts.
+    // Application commands + ticks (retransmissions due by now fire),
+    // then the flush: everything the pass made the engines send to one
+    // peer leaves as one BatchFrame, deferred acks ride along, and the
+    // datagrams leave in sendmmsg bursts.
     now = steady_now_us();
     for (const auto& [id, node] : snapshot) node->pump(now);
     now = steady_now_us();
@@ -547,6 +545,7 @@ void UdpTransport::loop() {
     {
       util::MutexLock lock(state_mutex_);
       in_dispatch_ = false;
+      ++dispatch_epoch_;
     }
     detach_cv_.notify_all();
   }
@@ -582,67 +581,25 @@ void UdpTransport::shard_loop(std::size_t shard) {
 // ---------------------------------------------------------------------------
 // UdpNode
 
-UdpNode::UdpNode(ProcessId id, std::uint16_t port, UdpNodeConfig config)
-    : id_(id) {
-  UdpTransportConfig tc = config.transport;
-  tc.pool = config.pool;  // the node-level pool config is authoritative
-  transport_ = std::make_shared<UdpTransport>(port, tc);
+UdpNode::UdpNode(ProcessId id, std::uint16_t port,
+                 const UdpNodeConfig& config)
+    : UdpNode(id, std::make_shared<UdpTransport>(port, config.transport),
+              config) {
   owns_transport_ = true;
-  init(std::move(config));
 }
 
 UdpNode::UdpNode(ProcessId id, std::shared_ptr<UdpTransport> transport,
                  UdpNodeConfig config)
-    : id_(id), transport_(std::move(transport)) {
-  NEWTOP_CHECK(transport_ != nullptr);
-  init(std::move(config));
-}
-
-void UdpNode::init(UdpNodeConfig&& config) {
-  cfg_ = std::move(config);
-  pool_ = transport_->pool();
-  cfg_.channel.pool = pool_;
-  router_ = std::make_unique<Router>(
-      id_, cfg_.channel,
-      /*send=*/
-      [this](PeerId to, util::Bytes data) {
-        transport_->queue_send(id_, to, std::move(data));
-      },
-      /*deliver=*/
-      [this](PeerId from, util::BytesView payload) {
-        endpoint_->on_message(from, std::move(payload), now_us());
-      });
-
-  EndpointHooks hooks;
-  hooks.send = [this](ProcessId to, util::SharedBytes data) {
-    router_->send(to, std::move(data), now_us());
-  };
-  hooks.send_relay = [this](ProcessId to, util::BytesView data) {
-    // Relay forward: the received slice re-enters the channel verbatim
-    // (batched with anything else pending; the end-of-iteration flush
-    // drains it into the same sendmmsg burst).
-    router_->send_relayed(to, std::move(data), now_us());
-  };
-  hooks.on_event = [this](const Event& ev) {
-    {
-      util::MutexLock lock(log_mutex_);
-      if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-        deliveries_.push_back(d->delivery);
-      } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-        views_.emplace_back(v->group, v->view);
-      }
-    }
-    // User sink outside the log lock: it may take snapshots.
-    if (cfg_.on_event) cfg_.on_event(ev);
-  };
-  hooks.buffer_pool = pool_;
-  endpoint_ = std::make_unique<Endpoint>(id_, cfg_.endpoint,
-                                         std::move(hooks));
-}
+    : MailboxGroupHost(
+          id, config.endpoint, config.channel, config.tick_interval,
+          transport->pool(),
+          [this](PeerId to, util::Bytes data) {
+            transport_->queue_send(this->id(), to, std::move(data));
+          },
+          std::move(config.on_event)),
+      transport_(std::move(transport)) {}
 
 UdpNode::~UdpNode() { stop(); }
-
-sim::Time UdpNode::now_us() const { return steady_now_us(); }
 
 void UdpNode::add_peer(ProcessId peer, std::uint16_t port) {
   transport_->add_route(peer, port);
@@ -650,11 +607,10 @@ void UdpNode::add_peer(ProcessId peer, std::uint16_t port) {
 
 void UdpNode::start() {
   {
-    util::MutexLock lock(mutex_);
-    NEWTOP_CHECK(!attached_ && !stopping_);
+    util::MutexLock lock(mailbox_mutex_);
+    NEWTOP_CHECK(!attached_ && !closed_);
     attached_ = true;
   }
-  next_tick_ = 0;  // first pump ticks immediately, then every interval
   transport_->start();
   transport_->attach(this);
 }
@@ -662,110 +618,25 @@ void UdpNode::start() {
 void UdpNode::stop() {
   bool was_attached = false;
   {
-    util::MutexLock lock(mutex_);
-    stopping_ = true;
+    util::MutexLock lock(mailbox_mutex_);
     was_attached = attached_;
     attached_ = false;
   }
+  close_mailbox();
   if (was_attached) transport_->detach(this);
   if (owns_transport_) transport_->stop();
-  // Drop commands that never ran: destroying them breaks their promises
-  // / fires their completion guards, so a blocked GroupHandle call
-  // unblocks (kNotMember) instead of hanging. Destroyed outside the
-  // mutex — a completion callback may re-enter this node.
-  std::deque<std::function<void(Endpoint&, sim::Time)>> dropped;
-  {
-    util::MutexLock lock(mutex_);
-    dropped.swap(commands_);
-  }
 }
 
-bool UdpNode::enqueue_host_command(HostCommand fn) {
-  {
-    util::MutexLock lock(mutex_);
-    if (stopping_) return false;
-    commands_.push_back(std::move(fn));
-  }
-  transport_->wake();
-  return true;
-}
-
-void UdpNode::record_host_send(SendResult r) {
-  util::MutexLock lock(log_mutex_);
-  send_counts_.note(r);
-}
-
-void UdpNode::on_rx(ProcessId from, util::BytesView payload, sim::Time now) {
-  router_->on_datagram(from, std::move(payload), now);
-}
-
-void UdpNode::pump(sim::Time now) {
-  std::deque<std::function<void(Endpoint&, sim::Time)>> cmds;
-  {
-    util::MutexLock lock(mutex_);
-    cmds.swap(commands_);
-  }
-  for (auto& cmd : cmds) cmd(*endpoint_, now_us());
-  // Protocol housekeeping (suspicion, omega, retention compaction) keeps
-  // its coarse cadence; transport timers are handled in flush() every
-  // iteration at deadline precision.
-  if (now >= next_tick_) {
-    endpoint_->on_tick(now);
-    next_tick_ = now + cfg_.tick_interval;
-  }
-}
-
-void UdpNode::flush(sim::Time now) {
-  // Idle boundary: everything this iteration's inputs caused has been
-  // processed — flush batched payloads, then let the router emit due
-  // retransmissions and deferred acks. Running every iteration (not per
-  // protocol tick) is what makes sub-millisecond adaptive RTOs real:
-  // the loop wakes at the deadline and the expiry fires here.
-  router_->flush_batches(now);
-  router_->tick(now);
-}
-
-sim::Time UdpNode::next_deadline(sim::Time now) const {
-  return std::min(next_tick_, router_->next_deadline(now));
-}
-
-void UdpNode::create_group(GroupId g, std::vector<ProcessId> members,
-                           GroupOptions options) {
-  enqueue_host_command(
-      [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
-        e.create_group(g, members, options, now);
-      });
-}
-
-void UdpNode::initiate_group(GroupId g, std::vector<ProcessId> members,
-                             GroupOptions options) {
-  enqueue_host_command(
-      [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
-        e.initiate_group(g, members, options, now);
-      });
-}
-
-void UdpNode::multicast(GroupId g, util::Bytes payload,
-                        std::function<void(SendResult)> done) {
-  async_multicast(g, std::move(payload), std::move(done));
-}
-
-void UdpNode::leave_group(GroupId g) { group_leave(g); }
-
-SendCounts UdpNode::send_counts() const {
-  util::MutexLock lock(log_mutex_);
-  return send_counts_;
-}
+void UdpNode::wake_owner() { transport_->wake(); }
 
 ChannelStats UdpNode::transport_stats() {
   ChannelStats s = marshal<ChannelStats>(
-      {}, [this](Endpoint&, sim::Time) { return router_->total_stats(); });
-  {
-    // A stopped node returns the default snapshot untouched (the marshal
-    // above already fell back to it).
-    util::MutexLock lock(mutex_);
-    if (stopping_) return s;
-  }
+      {}, [](runtime::HostCore& c, sim::Time) {
+        return c.router().total_stats();
+      });
+  // A stopped node returns the default snapshot untouched (the marshal
+  // above already fell back to it).
+  if (mailbox_closed()) return s;
   // Overlay the socket-layer counters (transport-wide: shared by every
   // node on the transport).
   const TransportIoStats io = transport_->io_stats();
@@ -779,27 +650,9 @@ ChannelStats UdpNode::transport_stats() {
 }
 
 EndpointStats UdpNode::endpoint_stats() {
-  return marshal<EndpointStats>(
-      {}, [](Endpoint& e, sim::Time) { return e.stats(); });
-}
-
-std::vector<Delivery> UdpNode::deliveries() const {
-  util::MutexLock lock(log_mutex_);
-  return deliveries_;
-}
-
-std::vector<std::pair<GroupId, View>> UdpNode::views() const {
-  util::MutexLock lock(log_mutex_);
-  return views_;
-}
-
-std::size_t UdpNode::delivery_count(GroupId g) const {
-  util::MutexLock lock(log_mutex_);
-  std::size_t n = 0;
-  for (const auto& d : deliveries_) {
-    if (d.group == g) ++n;
-  }
-  return n;
+  return marshal<EndpointStats>({}, [](runtime::HostCore& c, sim::Time) {
+    return c.endpoint().stats();
+  });
 }
 
 }  // namespace newtop::transport

@@ -209,11 +209,15 @@ class UdpTransport {
   // Lifecycle + attached-node registry. The loop snapshots the node set
   // each iteration and dispatches outside the lock (so node callbacks
   // may re-enter transport APIs); detach waits for the in-flight
-  // iteration, after which the loop can no longer reach the node.
+  // iteration, after which the loop can no longer reach the node. It
+  // waits for the dispatch epoch to move on, not for in_dispatch_ to
+  // read false: the loop sets in_dispatch_ again for its next iteration
+  // before a waiter can retake the lock, so a busy loop would starve it.
   mutable util::Mutex state_mutex_;
   std::condition_variable detach_cv_;
   std::map<ProcessId, UdpNode*> nodes_ GUARDED_BY(state_mutex_);
   bool in_dispatch_ GUARDED_BY(state_mutex_) = false;
+  std::uint64_t dispatch_epoch_ GUARDED_BY(state_mutex_) = 0;  // +1 per exit
   bool started_ GUARDED_BY(state_mutex_) = false;
   std::atomic<bool> stopping_{false};
 
@@ -252,30 +256,29 @@ struct UdpNodeConfig {
   Config endpoint;
   ChannelConfig channel;
   // Protocol tick cadence (suspicion, omega, compaction). Transport
-  // timers no longer ride it: retransmissions and delayed acks fire at
+  // timers do not ride it: retransmissions and delayed acks fire at
   // their own deadlines via the transport's deadline-driven wakeups.
   sim::Duration tick_interval = 5 * sim::kMillisecond;
   // Used only when the node creates a private transport (port-taking
-  // constructor): pool config (recycles rx datagram buffers and tx
-  // packet encodes; enabled = false falls back to plain heap
-  // allocation) and the socket/burst knobs. A node attached to a shared
-  // UdpTransport uses that transport's pool and knobs instead.
-  util::BufferPoolConfig pool;
+  // constructor): the socket/burst knobs and the pool. A node attached
+  // to a shared UdpTransport uses that transport's instead.
   UdpTransportConfig transport;
   // Application event sink (core/api.h): called on the transport's loop
-  // thread after the observation logs recorded the event. Must not block
+  // thread after the observation log recorded the event. Must not block
   // on this node's GroupHandle calls (they marshal back onto the loop).
   EventSink on_event;
 };
 
-// A complete Newtop process on a UDP transport. Exposes the same
-// GroupHandle/event-sink surface as SimWorld and ThreadedRuntime (the
-// blocking facade comes from MailboxGroupHost, marshalled onto the
-// transport's loop thread).
+// A complete Newtop process on a UDP transport: a HostCore whose
+// datagrams go out through the transport's socket, driven by the
+// transport's loop thread. The commands (create_group, initiate_group,
+// multicast, leave_group, join_group), the GroupHandle facade and the
+// thread-safe log snapshots (deliveries, views, delivery_count,
+// send_counts) come from MailboxGroupHost, marshalled onto that thread.
 class UdpNode : public MailboxGroupHost {
  public:
   // Private-transport form: port 0 = ephemeral; read it with port().
-  UdpNode(ProcessId id, std::uint16_t port, UdpNodeConfig config);
+  UdpNode(ProcessId id, std::uint16_t port, const UdpNodeConfig& config);
   // Shared-transport form: the node registers on `transport` at
   // start(); many nodes (and their groups) multiplex its one socket.
   UdpNode(ProcessId id, std::shared_ptr<UdpTransport> transport,
@@ -285,7 +288,6 @@ class UdpNode : public MailboxGroupHost {
   UdpNode(const UdpNode&) = delete;
   UdpNode& operator=(const UdpNode&) = delete;
 
-  ProcessId id() const { return id_; }
   std::uint16_t port() const { return transport_->port(); }
   const std::shared_ptr<UdpTransport>& transport() const {
     return transport_;
@@ -296,31 +298,15 @@ class UdpNode : public MailboxGroupHost {
   // traffic flows to it.
   void add_peer(ProcessId peer, std::uint16_t port);
 
-  void start();
-  void stop();  // detaches from the transport; idempotent
-
-  // Application commands, marshalled onto the loop thread. The
-  // multicast admission verdict is recorded in the node's SendCounts
-  // and, when `done` is provided, reported through it from the loop
-  // thread (kNotMember if the node stopped before executing it).
-  void create_group(GroupId g, std::vector<ProcessId> members,
-                    GroupOptions options = {});
-  void initiate_group(GroupId g, std::vector<ProcessId> members,
-                      GroupOptions options = {});
-  void multicast(GroupId g, util::Bytes payload,
-                 std::function<void(SendResult)> done = {});
-  void leave_group(GroupId g);
+  void start() EXCLUDES(mailbox_mutex_);
+  // Detaches from the transport; idempotent. Must not be called from
+  // the loop thread (an event sink or a command).
+  void stop() EXCLUDES(mailbox_mutex_);
 
   // Facade over this node's membership in g (see api.h). multicast /
   // view / retention_stats marshal onto the loop thread and block for
   // the result — do not call them from the loop thread itself.
   GroupHandle group(GroupId g) { return GroupHandle(this, g); }
-
-  // Thread-safe observation snapshots.
-  std::vector<Delivery> deliveries() const;
-  std::vector<std::pair<GroupId, View>> views() const;
-  std::size_t delivery_count(GroupId g) const;
-  SendCounts send_counts() const;
 
   // Aggregated reliable-transport counters — the adaptive-RTO gauges
   // (srtt/rttvar/rto_current, worst path across peers) plus the
@@ -339,37 +325,24 @@ class UdpNode : public MailboxGroupHost {
  private:
   friend class UdpTransport;
 
-  // Event-loop-thread entry points (called by UdpTransport).
-  void on_rx(ProcessId from, util::BytesView payload, sim::Time now);
-  void pump(sim::Time now);            // commands + protocol tick
-  void flush(sim::Time now);           // retransmission scan + batch flush
-  sim::Time next_deadline(sim::Time now) const;
+  // Loop-thread pass, called by UdpTransport in this order: on_rx for
+  // every received datagram, pump (commands, then tick), flush.
+  void on_rx(ProcessId from, util::BytesView payload, sim::Time now) {
+    core_.on_datagram(from, std::move(payload), now);
+  }
+  void pump(sim::Time now) {
+    run_commands(now);
+    core_.tick(now);
+  }
+  void flush(sim::Time now) { core_.flush(now); }
+  sim::Time next_deadline(sim::Time now) const {
+    return core_.next_deadline(now);
+  }
+  void wake_owner() override;
 
-  void init(UdpNodeConfig&& config);
-  sim::Time now_us() const;
-  // MailboxGroupHost: the transport loop thread is the owner.
-  bool enqueue_host_command(HostCommand fn) override EXCLUDES(mutex_);
-  void record_host_send(SendResult r) override EXCLUDES(log_mutex_);
-
-  ProcessId id_;
-  UdpNodeConfig cfg_;
   std::shared_ptr<UdpTransport> transport_;
   bool owns_transport_ = false;
-  util::BufferPoolPtr pool_;
-  std::unique_ptr<Router> router_;
-  std::unique_ptr<Endpoint> endpoint_;
-  sim::Time next_tick_ = 0;  // loop-thread-only once attached
-
-  mutable util::Mutex mutex_;
-  std::deque<std::function<void(Endpoint&, sim::Time)>> commands_
-      GUARDED_BY(mutex_);
-  bool stopping_ GUARDED_BY(mutex_) = false;
-  bool attached_ GUARDED_BY(mutex_) = false;
-
-  mutable util::Mutex log_mutex_;
-  std::vector<Delivery> deliveries_ GUARDED_BY(log_mutex_);
-  std::vector<std::pair<GroupId, View>> views_ GUARDED_BY(log_mutex_);
-  SendCounts send_counts_ GUARDED_BY(log_mutex_);
+  bool attached_ GUARDED_BY(mailbox_mutex_) = false;
 };
 
 }  // namespace newtop::transport

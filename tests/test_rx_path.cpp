@@ -25,9 +25,8 @@ util::Bytes bytes_of(const std::string& s) {
 }
 
 // A bare endpoint with capture-everything hooks; no transport, no host.
-// Uses the legacy `deliver` hook AND the unified event sink — both are
-// fed by the engine (migration mode), so `delivered` exercises the
-// adapter while `events` sees the full typed stream.
+// The event sink files deliveries into `delivered` and every other
+// event kind into `events`.
 struct Harness {
   std::vector<Delivery> delivered;
   std::vector<std::pair<ProcessId, util::SharedBytes>> sent;
@@ -40,12 +39,15 @@ struct Harness {
     hooks.send = [this](ProcessId to, util::SharedBytes data) {
       sent.emplace_back(to, std::move(data));
     };
-    hooks.deliver = [this](const Delivery& d) { delivered.push_back(d); };
-    // Deliveries are captured through the legacy hook above; recording
-    // the DeliveryEvent here too would hold a second payload reference
-    // and distort the buffer-lifetime tests.
+    // A delivery is kept once, as a Delivery: a second copy inside a
+    // recorded DeliveryEvent would hold another payload reference and
+    // distort the buffer-lifetime tests.
     hooks.on_event = [this](const Event& ev) {
-      if (!std::holds_alternative<DeliveryEvent>(ev)) events.push_back(ev);
+      if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
+        delivered.push_back(d->delivery);
+      } else {
+        events.push_back(ev);
+      }
     };
     hooks.buffer_pool = std::move(pool);
     ep = std::make_unique<Endpoint>(self, cfg, std::move(hooks));

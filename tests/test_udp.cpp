@@ -3,6 +3,7 @@
 // simulator suite owns protocol correctness, these own the socket host.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -494,6 +495,68 @@ TEST(UdpTransport, ConcurrentStopIsSafe) {
     for (auto& t : stoppers) t.join();
     node->stop();  // still idempotent after the transport is down
   }
+}
+
+TEST(UdpTransport, EngineSendsAreBatched) {
+  // Engine sends go through the router's batching path, as in the sim:
+  // multicasts queued together leave as BatchFrames, many payloads per
+  // datagram, instead of one datagram per message.
+  auto nodes = make_mesh(3);
+  for (auto& node : nodes) node->create_group(1, {0, 1, 2});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  constexpr int kBurst = 32;
+  for (int i = 0; i < kBurst; ++i) {
+    nodes[0]->multicast(1, bytes_of("burst" + std::to_string(i)));
+  }
+  ASSERT_TRUE(wait_for(
+      [&] {
+        for (auto& node : nodes) {
+          if (node->delivery_count(1) < kBurst) return false;
+        }
+        return true;
+      },
+      10s));
+  const ChannelStats s = nodes[0]->transport_stats();
+  EXPECT_GT(s.batches_sent, 0u);
+  EXPECT_GT(s.batched_payloads, s.batches_sent);
+  for (auto& node : nodes) node->stop();
+}
+
+TEST(UdpTransport, StopReturnsWhileSharedTransportStaysBusy) {
+  // Regression for the detach starvation: stop() waits for the loop's
+  // in-flight iteration to end. It used to wait for "not dispatching",
+  // which a busy loop re-entered before the waiter could retake the
+  // lock, so stopping one node while another kept its loop busy could
+  // take seconds or never return.
+  auto transport = std::make_shared<UdpTransport>(0);
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  for (ProcessId id = 0; id < 3; ++id) {
+    nodes.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+  }
+  for (auto& n : nodes) {
+    for (auto& peer : nodes) {
+      if (peer->id() != n->id()) n->add_peer(peer->id(), transport->port());
+    }
+  }
+  for (auto& n : nodes) n->start();
+  for (auto& n : nodes) n->create_group(1, {0, 1, 2});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+
+  std::atomic<bool> done{false};
+  std::thread sender([&] {
+    for (int i = 0; !done.load(); ++i) {
+      nodes[0]->multicast(1, bytes_of("busy" + std::to_string(i)));
+      std::this_thread::sleep_for(100us);
+    }
+  });
+  std::this_thread::sleep_for(200ms);  // the loop is busy by now
+  const auto t0 = std::chrono::steady_clock::now();
+  nodes[2]->stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  done.store(true);
+  sender.join();
+  EXPECT_LT(took, 1s);
+  for (auto& n : nodes) n->stop();
 }
 
 TEST(UdpTransport, DynamicFormationOverLoopback) {
