@@ -7,7 +7,11 @@
 //   - latency vs group size n (busy senders)
 //   - latency vs ω (single busy sender, quiet others)
 //   - throughput-style batch delivery vs n
+//   - open-loop latency and null cost under round-robin load (gated)
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -130,5 +134,72 @@ void BM_SymNullOverheadVsOmega(benchmark::State& state) {
 }
 BENCHMARK(BM_SymNullOverheadVsOmega)->Arg(10)->Arg(25)->Arg(50)->Arg(100)
     ->Arg(200)->Unit(benchmark::kMillisecond);
+
+// Open-loop load: 4 members multicast round-robin, one message every
+// 500 µs of virtual time, over 20-100 µs links. Each member's own sends
+// come 2 ms apart, so without owed nulls a message waits for the other
+// three members' next sends (~1.5 ms); with them, the last member it
+// waits on answers at once. Reports send-to-last-delivery latency and
+// the nulls the whole group sent per message, from the first send until
+// every member delivered the last one. Virtual time is deterministic, so
+// the BENCH_JSON line is identical on every run.
+void BM_SymLoadedRoundRobin(benchmark::State& state) {
+  constexpr std::size_t kMembers = 4;
+  constexpr int kMessages = 2000;
+  constexpr sim::Duration kGap = 500 * sim::kMicrosecond;
+  util::Samples lat_ms;
+  double nulls_per_msg = 0;
+  for (auto _ : state) {
+    WorldConfig cfg = default_world(kMembers);
+    cfg.network.latency =
+        sim::LatencyModel::uniform(20 * sim::kMicrosecond,
+                                   100 * sim::kMicrosecond);
+    SimWorld w(cfg);
+    const auto members = all_members(kMembers);
+    w.create_group(1, members);
+    w.run_for(200 * kMillisecond);
+    auto total_nulls = [&] {
+      std::uint64_t n = 0;
+      for (ProcessId p : members) n += w.ep(p).stats().nulls_sent;
+      return n;
+    };
+    const std::uint64_t nulls_before = total_nulls();
+    std::vector<sim::Time> sent_at(kMessages);
+    for (int i = 0; i < kMessages; ++i) {
+      sent_at[i] = w.now();
+      w.multicast(members[i % kMembers], 1, std::to_string(i));
+      w.run_for(kGap);
+    }
+    w.run_until_pred(
+        [&] {
+          for (ProcessId p : members) {
+            if (w.process(p).deliveries.size() < kMessages) return false;
+          }
+          return true;
+        },
+        w.now() + 10 * kSecond);
+    nulls_per_msg = static_cast<double>(total_nulls() - nulls_before) /
+                    static_cast<double>(kMessages);
+    std::vector<sim::Time> last(kMessages, 0);
+    for (ProcessId p : members) {
+      for (const auto& r : w.process(p).deliveries) {
+        const auto i = static_cast<std::size_t>(
+            std::stoi(simhost::to_string(r.delivery.payload)));
+        last[i] = std::max(last[i], r.at);
+      }
+    }
+    lat_ms = util::Samples();
+    for (int i = 0; i < kMessages; ++i) {
+      lat_ms.add(static_cast<double>(last[i] - sent_at[i]) / kMillisecond);
+    }
+  }
+  report_latency(state, lat_ms);
+  state.counters["nulls_per_msg"] = nulls_per_msg;
+  emit_bench_json("sym_loaded/rr4",
+                  {{"lat_ms_p50", lat_ms.percentile(50)},
+                   {"lat_ms_p99", lat_ms.percentile(99)},
+                   {"nulls_per_msg", nulls_per_msg}});
+}
+BENCHMARK(BM_SymLoadedRoundRobin)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -9,7 +9,9 @@ namespace newtop {
 
 struct Config {
   // Time-silence interval ω (§4.1): send a null in a group if nothing was
-  // sent there for this long.
+  // sent there for this long. ω also bounds owed nulls (rule b): a
+  // member that owes a null sends one once no null of its own has gone
+  // out in the group for this long.
   sim::Duration omega = 50 * sim::kMillisecond;
 
   // Suspicion threshold Ω > ω (§5.2): suspect a member after this much

@@ -116,6 +116,10 @@ void Endpoint::leave_group(GroupId g, Time now) {
 void Endpoint::on_message(ProcessId from, util::BytesView data, Time now) {
   Reentrancy scope(*this);
   dispatch_message(from, data, now, /*allow_batch=*/true);
+  // After the whole datagram or batch: one null then pays for every
+  // message it carried. (Handlers may add groups; map nodes stay put
+  // and erasures wait for the scope.)
+  for (auto& entry : groups_) pay_owed_null(entry.second, now);
 }
 
 void Endpoint::dispatch_message(ProcessId from, const util::BytesView& data,
@@ -252,6 +256,7 @@ void Endpoint::on_tick(Time now) {
           now - gs->last_sent >= cfg_.omega) {
         emit_ordered(*gs, MsgType::kNull, {}, now);
       }
+      pay_owed_null(*gs, now);  // rule (b) comes due with time alone
       if (!gs->opts.failure_free) tick_suspector(*gs, now);
     }
     if (gs->forming) tick_formation(*gs, now);
@@ -739,7 +744,10 @@ void Endpoint::emit_ordered(GroupState& gs, MsgType type,
   }
   gs.last_sent = now;
   if (type == MsgType::kApp) ++stats_.app_multicasts;
-  if (type == MsgType::kNull) ++stats_.nulls_sent;
+  if (type == MsgType::kNull) {
+    ++stats_.nulls_sent;
+    gs.last_null = now;
+  }
   // Encode once (into recycled storage when the host provides a pool);
   // the same buffer fans out to every peer and, via m.raw, backs the
   // local loop-back's retention/recovery slice.
@@ -1059,6 +1067,32 @@ void Endpoint::pump_sends(Time now) {
     gs->plane->submit_app(*gs, std::move(payload), now);
   }
   notify_send_windows();
+}
+
+void Endpoint::pay_owed_null(GroupState& gs, Time now) {
+  // Only open groups pay: a forming group's D is pinned (§5.3), and
+  // only planes whose gate waits on our stream ever record a debt.
+  if (gs.defunct || !gs.open || gs.owed_from <= gs.plane->rv(self_)) return;
+  // (a) Last blocker: every other stream has passed the lowest message
+  // we owe, so our null lifts D past it at once. Each such null needs a
+  // fresh debt above it, so there are no more of them than messages.
+  bool last_blocker = true;
+  for (ProcessId p : gs.view.members) {
+    if (p != self_ && gs.plane->rv(p) < gs.owed_from) {
+      last_blocker = false;
+      break;
+    }
+  }
+  if (last_blocker) {
+    ++stats_.nulls_last_blocker;
+  } else if (!gs.last_null || now - *gs.last_null >= cfg_.omega) {
+    // (b) No null of any kind within ω: with time-silence, at most one
+    // null per ω that (a) did not call for — what an idle member pays.
+    ++stats_.nulls_owed_silence;
+  } else {
+    return;
+  }
+  emit_ordered(gs, MsgType::kNull, {}, now);
 }
 
 void Endpoint::notify_send_windows() {

@@ -332,6 +332,12 @@ class Endpoint : private PlaneHost {
                        bool via_recovery);
   void pump_deliveries(Time now);
   void pump_sends(Time now);
+  // Owed nulls (GroupCtx::owed_from; §4.1 allows a null at any time):
+  // while this member owes in an open group, sends one null when (a) its
+  // stream is the only one still below the lowest message it owes, or
+  // (b) it has sent no null in the group within ω. Runs at the end of
+  // on_message and in on_tick.
+  void pay_owed_null(GroupState& gs, Time now);
 
   // ---- Dissemination overlay (core/dissemination.h) -------------------
   // Origin-side fan-out through the group's relay plan (called by

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "core/dissemination.h"
@@ -94,6 +95,12 @@ struct EndpointStats {
   std::uint64_t join_stash_deliveries = 0;
   std::uint64_t join_covered_dropped = 0;
   std::uint64_t joins_completed = 0;
+  // Owed nulls (GroupCtx::owed_from): nulls sent because our stream was
+  // the last one holding back a message we owed (rule a), and because we
+  // owed and had sent no null within ω (rule b). Both count in
+  // nulls_sent too; the rest of nulls_sent is time-silence.
+  std::uint64_t nulls_last_blocker = 0;
+  std::uint64_t nulls_owed_silence = 0;
 };
 
 // The per-group state shared between the endpoint and its ordering plane:
@@ -126,6 +133,16 @@ struct GroupCtx {
   Time last_sent = 0;                       // ordered-plane, for ω
   std::map<ProcessId, Time> last_activity;  // any traffic, for Ω
   std::set<ProcessId> left;                 // announced voluntary Leave
+
+  // Owed nulls. Where delivery waits on every member's stream (the
+  // symmetric plane records these), a foreign content message stamped
+  // above our own stream position rv[self] is a debt: only our next
+  // emission lets it go. `owed_from` is the lowest such counter; any
+  // emission pays the whole debt, so it is stale once rv[self] passes
+  // it. `last_null` is when we last sent a null of any kind in the
+  // group (none yet: a first debt is paid at once).
+  Counter owed_from = 0;
+  std::optional<Time> last_null;
 
   // Dissemination overlay (core/dissemination.h): recomputed
   // deterministically from the agreed view at creation and every view

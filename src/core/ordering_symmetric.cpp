@@ -1,7 +1,8 @@
 // The symmetric ordering discipline (§4.1): every member multicasts
 // directly on its own logical-clock stream; delivery is gated by
 // D = min over the view of the receive vector, so every member's stream
-// must keep moving (time-silence does that for quiet members).
+// must keep moving (time-silence does that for quiet members, and owed
+// nulls for members a received message is waiting on).
 #include "core/ordering.h"
 
 namespace newtop {
@@ -17,11 +18,19 @@ class SymmetricPlane final : public OrderingPlane {
   }
 
   Accept accept(GroupCtx& g, const OrderedMsg& m, Time now) override {
-    (void)g;
     (void)now;
     if (!advance_stream(m.emitter, m.counter)) {
       ++host_.mutable_stats().duplicates_dropped;
       return Accept::kStale;
+    }
+    // D waits on our stream too: foreign content stamped above it is a
+    // debt our next emission pays (GroupCtx::owed_from). Nulls never
+    // owe, so an idle group's null rate cannot grow.
+    const Counter own = rv(host_.self());
+    if (m.type != MsgType::kNull && m.emitter != host_.self() &&
+        m.counter > own && g.opts.guarantee == Guarantee::kTotalOrder) {
+      g.owed_from =
+          g.owed_from > own ? std::min(g.owed_from, m.counter) : m.counter;
     }
     return Accept::kFresh;
   }

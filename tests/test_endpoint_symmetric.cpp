@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "core/sim_host.h"
 
@@ -71,19 +73,21 @@ TEST(Symmetric, TotalOrderManySendersIdenticalEverywhere) {
   expect_identical_delivery(w, 1, {0, 1, 2, 3, 4}, 50);
 }
 
-TEST(Symmetric, DeliveryRequiresTimeSilenceFromQuietMembers) {
-  // With only one sender, messages become deliverable only after the
-  // silent members' null messages raise D — the protocol's liveness
-  // depends on time-silence (§4.1).
+TEST(Symmetric, DeliveryNeedsANullFromEachQuietMember) {
+  // With only one sender, a message becomes deliverable only once the
+  // silent members' streams pass it (§4.1): each quiet member owes a
+  // null for it and pays at once, so delivery takes a few link delays
+  // (here at most 8 ms each), not ω.
   SimWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "solo");
-  // Before omega elapses, nothing can be delivered (D still 0).
-  w.run_for(5 * kMillisecond);
-  EXPECT_TRUE(w.process(1).delivered_strings(1).empty());
-  w.run_for(kSecond);
+  const sim::Duration few_links = 3 * 8 * kMillisecond;
+  ASSERT_LT(few_links, w.ep(0).config().omega);
+  w.run_for(few_links);
   expect_identical_delivery(w, 1, {0, 1, 2}, 1);
-  EXPECT_GT(w.ep(0).stats().nulls_sent, 0u);
+  EXPECT_GT(w.ep(1).stats().nulls_sent, 0u);
+  EXPECT_GT(w.ep(2).stats().nulls_sent, 0u);
+  EXPECT_EQ(w.ep(0).stats().nulls_sent, 0u);  // the sender owes nothing
 }
 
 TEST(Symmetric, FifoOrderPerSenderPreserved) {
@@ -291,6 +295,165 @@ TEST(Symmetric, GlobalDiIsMinOverGroups) {
   const Counter d1 = w.ep(0).group_d(1);
   const Counter d2 = w.ep(0).group_d(2);
   EXPECT_EQ(w.ep(0).global_d(), std::min(d1, d2));
+}
+
+// ---------------------------------------------------------------------
+// Owed nulls: a member that a received message is waiting on pays with
+// a null at once when its stream is the last blocker (rule a), or when
+// it has sent no null within ω (rule b). Both rules are bounded.
+// ---------------------------------------------------------------------
+
+std::vector<ProcessId> members_upto(std::size_t n) {
+  std::vector<ProcessId> m(n);
+  for (std::size_t i = 0; i < n; ++i) m[i] = static_cast<ProcessId>(i);
+  return m;
+}
+
+bool all_delivered(SimWorld& w, GroupId g,
+                   const std::vector<ProcessId>& members,
+                   const std::string& payload) {
+  for (ProcessId p : members) {
+    const auto got = w.process(p).delivered_strings(g);
+    if (std::find(got.begin(), got.end(), payload) == got.end()) return false;
+  }
+  return true;
+}
+
+TEST(OwedNulls, TwoMemberGroupDeliversWithinTwoLinkDelays) {
+  // P1 receives P0's message one link delay after the send and is the
+  // only stream below it, so it answers with a null at once (rule a);
+  // P0 delivers when that null arrives, one link delay later.
+  const sim::Duration link = 1 * kMillisecond;
+  WorldConfig cfg = small_world(2);
+  cfg.network.latency = sim::LatencyModel::constant(link);
+  SimWorld w(cfg);
+  w.create_group(1, {0, 1});
+  // Once after set-up, and once after idle time-silence nulls have
+  // flowed (rule b then waits out ω; rule a does not).
+  for (const sim::Duration idle : {sim::Duration{0}, 3 * kSecond}) {
+    w.run_for(idle);
+    const std::string payload = std::to_string(idle);
+    const sim::Time t0 = w.now();
+    w.multicast(0, 1, payload);
+    ASSERT_TRUE(w.run_until_pred(
+        [&] { return all_delivered(w, 1, {0, 1}, payload); }, t0 + kSecond));
+    EXPECT_LE(w.now() - t0, 2 * link) << payload;
+  }
+  EXPECT_EQ(w.ep(1).stats().nulls_last_blocker, 2u);
+  EXPECT_EQ(w.ep(0).stats().nulls_last_blocker, 0u);
+}
+
+TEST(OwedNulls, FirstMessageAfterFormationDeliversWellUnderOmega) {
+  // No member has sent a null in a new group, so each one the first
+  // message waits on pays at once (rule b): delivery takes a few link
+  // delays (at most 8 ms each here) instead of formation plus ω.
+  const auto members = members_upto(4);
+  const sim::Duration few_links = 3 * 8 * kMillisecond;
+  {
+    SimWorld w(small_world(4));
+    ASSERT_LT(few_links, w.ep(0).config().omega);
+    w.create_group(1, members);
+    const sim::Time t0 = w.now();
+    w.multicast(0, 1, "first");
+    ASSERT_TRUE(w.run_until_pred(
+        [&] { return all_delivered(w, 1, members, "first"); },
+        t0 + kSecond));
+    EXPECT_LE(w.now() - t0, few_links);
+  }
+  {
+    SimWorld w(small_world(4));
+    w.ep(0).initiate_group(1, members, {}, w.now());
+    ASSERT_TRUE(w.run_until_pred(
+        [&] { return !w.process(0).formations.empty(); }, kSecond));
+    ASSERT_EQ(w.process(0).formations[0].outcome, FormationOutcome::kFormed);
+    const sim::Time t0 = w.now();
+    w.multicast(0, 1, "first");
+    ASSERT_TRUE(w.run_until_pred(
+        [&] { return all_delivered(w, 1, members, "first"); },
+        t0 + kSecond));
+    EXPECT_LE(w.now() - t0, few_links);
+  }
+}
+
+TEST(OwedNulls, TreeGroupUnderLoadStaysWithinBothBounds) {
+  // 32 members on an arity-4 relay tree take turns multicasting, one
+  // message every 8 ms for 10 virtual seconds. Rule (b) and
+  // time-silence each wait ω since the last null of any kind, so
+  // together they send at most one null per ω per member. Each rule (a)
+  // null lifts D past a message it owed and needs a fresh debt above
+  // its own counter, so there are no more of them than deliveries.
+  const auto members = members_upto(32);
+  SimWorld w(small_world(32));
+  GroupOptions opts;
+  opts.dissemination = DisseminationStrategy::kTree;
+  opts.relay_arity = 4;
+  w.create_group(1, members, opts);
+  const sim::Time start = w.now();
+  int sent = 0;
+  while (w.now() - start < 10 * kSecond) {
+    w.multicast(static_cast<ProcessId>(sent % 32), 1, std::to_string(sent));
+    ++sent;
+    w.run_for(8 * kMillisecond);
+  }
+  ASSERT_TRUE(w.run_until_pred(
+      [&] {
+        return all_delivered(w, 1, members, std::to_string(sent - 1));
+      },
+      w.now() + kSecond));
+  const sim::Duration elapsed = w.now() - start;
+  const auto budget =
+      static_cast<std::uint64_t>(elapsed / w.ep(0).config().omega) + 1;
+  std::uint64_t last_blocker = 0;
+  for (ProcessId p : members) {
+    const EndpointStats& st = w.ep(p).stats();
+    EXPECT_LE(st.nulls_sent - st.nulls_last_blocker, budget) << "P" << p;
+    EXPECT_LE(st.nulls_last_blocker, st.deliveries) << "P" << p;
+    last_blocker += st.nulls_last_blocker;
+  }
+  EXPECT_GT(last_blocker, 0u);
+  expect_identical_delivery(w, 1, members, static_cast<std::size_t>(sent));
+}
+
+TEST(OwedNulls, IdleGroupSendsAtMostOneNullPerOmega) {
+  // A null never creates a debt, so nulls cannot answer nulls: an idle
+  // group runs on time-silence alone.
+  const auto members = members_upto(4);
+  SimWorld w(small_world(4));
+  w.create_group(1, members);
+  w.run_for(10 * kSecond);
+  const auto budget =
+      static_cast<std::uint64_t>(10 * kSecond / w.ep(0).config().omega) + 1;
+  for (ProcessId p : members) {
+    const EndpointStats& st = w.ep(p).stats();
+    EXPECT_GT(st.nulls_sent, 0u) << "P" << p;
+    EXPECT_LE(st.nulls_sent, budget) << "P" << p;
+    EXPECT_EQ(st.nulls_last_blocker + st.nulls_owed_silence, 0u) << "P" << p;
+  }
+}
+
+TEST(OwedNulls, AsymmetricAndAtomicOnlyGroupsOweNothing) {
+  // A sequencer group's delivery waits on one stream, and an atomic-only
+  // group's on none, so neither records a debt.
+  GroupOptions asym;
+  asym.mode = OrderMode::kAsymmetric;
+  GroupOptions atomic;
+  atomic.guarantee = Guarantee::kAtomicOnly;
+  const auto members = members_upto(4);
+  for (const GroupOptions& opts : {asym, atomic}) {
+    SimWorld w(small_world(4));
+    w.create_group(1, members, opts);
+    for (int i = 0; i < 40; ++i) {
+      w.multicast(static_cast<ProcessId>(i % 4), 1, std::to_string(i));
+      w.run_for(2 * kMillisecond);
+    }
+    w.run_for(kSecond);
+    for (ProcessId p : members) {
+      const EndpointStats& st = w.ep(p).stats();
+      EXPECT_EQ(st.deliveries, 40u) << "P" << p;
+      EXPECT_EQ(st.nulls_last_blocker + st.nulls_owed_silence, 0u)
+          << "P" << p;
+    }
+  }
 }
 
 }  // namespace

@@ -74,6 +74,17 @@ util::Bytes encode_app(GroupId g, ProcessId sender, Counter c,
   return m.encode();
 }
 
+util::Bytes encode_null(GroupId g, ProcessId sender, Counter c,
+                        std::size_t payload_len) {
+  OrderedMsg m;
+  m.type = MsgType::kNull;
+  m.group = g;
+  m.sender = m.emitter = sender;
+  m.counter = c;
+  m.payload = util::Bytes(payload_len, 0xEE);
+  return m.encode();
+}
+
 TEST(RxPath, DeliveredSliceOutlivesArrivalDatagram) {
   // Atomic-only group: the message is delivered during on_message; the
   // recorded Delivery's payload must stay valid and correct after the
@@ -97,10 +108,11 @@ TEST(RxPath, DeliveredSliceOutlivesArrivalDatagram) {
 
 TEST(RxPath, QueuedDeliverySlicesOutliveBatchedDatagram) {
   // Total-order group: messages from P0 wait in the delivery queue until
-  // P1's own stream advances past them. Both arrive in one BatchFrame
-  // whose buffer the test releases while they are still queued.
+  // every member's stream passes them. Both arrive in one BatchFrame
+  // whose buffer the test releases while they are still queued: P1 pays
+  // its owed null at once, but P2 stays silent and holds D back.
   Harness h(1);
-  h.ep->create_group(1, {0, 1}, {}, 0);
+  h.ep->create_group(1, {0, 1, 2}, {}, 0);
 
   BatchFrame frame;
   frame.payloads = {encode_app(1, 0, 1, "first"),
@@ -110,14 +122,14 @@ TEST(RxPath, QueuedDeliverySlicesOutliveBatchedDatagram) {
   h.ep->on_message(0, util::BytesView(datagram), 1);
   datagram.reset();
 
-  // Still gated: D = min over members, and P1 has emitted nothing.
+  // Still gated: D = min over members, and P2 has emitted nothing.
   EXPECT_EQ(h.delivered.size(), 0u);
   EXPECT_EQ(h.ep->queued_deliveries(), 2u);
   EXPECT_FALSE(watch.expired());  // the queue's slices keep it alive
 
-  // P1's own multicast stamps counter 3 (CA2 observed 2) and raises
-  // rv[1]; D reaches 2 and the queued slices deliver in order.
-  ASSERT_EQ(h.ep->multicast(1, bytes_of("own"), 2), SendResult::kSent);
+  // P2's null raises rv[2] past 2 (P1's owed null already stamped 3);
+  // D reaches 2 and the queued slices deliver in order.
+  h.ep->on_message(2, encode_null(1, 2, 3, 0), 2);
   ASSERT_EQ(h.delivered.size(), 2u);
   EXPECT_EQ(h.delivered[0].payload, bytes_of("first"));
   EXPECT_EQ(h.delivered[1].payload, bytes_of("second"));
@@ -198,17 +210,6 @@ TEST(RxPath, SuspicionHeldSlicesSurviveDatagramRelease) {
 // ---------------------------------------------------------------------
 // Retention byte accounting + slice compaction
 // ---------------------------------------------------------------------
-
-util::Bytes encode_null(GroupId g, ProcessId sender, Counter c,
-                        std::size_t payload_len) {
-  OrderedMsg m;
-  m.type = MsgType::kNull;
-  m.group = g;
-  m.sender = m.emitter = sender;
-  m.counter = c;
-  m.payload = util::Bytes(payload_len, 0xEE);
-  return m.encode();
-}
 
 TEST(RxPath, CompactionReleasesOversizedBackingBuffer) {
   // A ~30-byte app message arrives sharing a BatchFrame with 4KB of
@@ -372,13 +373,14 @@ TEST(RxPath, CopyOutReleasesArrivalDatagramAtHandlingReturn) {
 }
 
 TEST(RxPath, CopyOutReleasesBatchFrameWhileMessagesStillQueued) {
-  // Total-order group: the messages wait in the delivery queue, but the
-  // queue holds detached copies — the batched arrival buffer dies the
-  // moment its handling returns, long before delivery.
+  // Total-order group: the messages wait in the delivery queue (silent
+  // P2 holds D back), but the queue holds detached copies — the batched
+  // arrival buffer dies the moment its handling returns, long before
+  // delivery.
   Harness h(1);
   GroupOptions opts;
   opts.delivery = DeliveryMode::kCopyOut;
-  h.ep->create_group(1, {0, 1}, opts, 0);
+  h.ep->create_group(1, {0, 1, 2}, opts, 0);
 
   BatchFrame frame;
   frame.payloads = {encode_app(1, 0, 1, "first"),
@@ -392,7 +394,7 @@ TEST(RxPath, CopyOutReleasesBatchFrameWhileMessagesStillQueued) {
   EXPECT_EQ(h.ep->queued_deliveries(), 2u);
   EXPECT_TRUE(watch.expired());  // the queue pins copies, not the frame
 
-  ASSERT_EQ(h.ep->multicast(1, bytes_of("own"), 2), SendResult::kSent);
+  h.ep->on_message(2, encode_null(1, 2, 3, 0), 2);
   ASSERT_EQ(h.delivered.size(), 2u);
   EXPECT_EQ(h.delivered[0].payload, bytes_of("first"));
   EXPECT_EQ(h.delivered[1].payload, bytes_of("second"));
